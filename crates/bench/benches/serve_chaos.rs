@@ -21,10 +21,11 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use chef_bench::{banner, rule, upsert_json_section};
-use chef_core::fault::{self, splitmix64, FaultPlan, FaultSpec};
+use chef_core::fault::{splitmix64, FaultPlan, FaultSpec};
 use chef_serve::{Client, ClientConfig, Corpus, JobLang, JobSpec, ServeConfig, Server};
 
 type InputSet = BTreeSet<Vec<(String, Vec<u8>)>>;
@@ -60,19 +61,21 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start_daemon(dir: &Path) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(ServeConfig {
-        ff_mode: Default::default(),
-        addr: "127.0.0.1:0".into(),
-        data_dir: dir.to_path_buf(),
-        checkpoint_interval_ll: 20_000,
-        workers: 1,
-        ..Default::default()
-    })
-    .expect("bind daemon");
+fn start_daemon(dir: &Path) -> (Arc<Server>, String, JoinHandle<std::io::Result<()>>) {
+    let server = Arc::new(
+        Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            data_dir: dir.to_path_buf(),
+            checkpoint_interval_ll: 20_000,
+            workers: 1,
+            ..Default::default()
+        })
+        .expect("bind daemon"),
+    );
     let addr = server.local_addr().expect("addr").to_string();
-    let handle = std::thread::spawn(move || server.run());
-    (addr, handle)
+    let run = Arc::clone(&server);
+    let handle = std::thread::spawn(move || run.run());
+    (server, addr, handle)
 }
 
 fn run_to_done(addr: &str, client: &Client) -> (String, InputSet) {
@@ -155,7 +158,7 @@ fn main() {
 
     // ---- Claim 1: scrub repairs a mangled data dir without inventing data.
     let dir = tmpdir("scrub");
-    let (addr, handle) = start_daemon(&dir);
+    let (_, addr, handle) = start_daemon(&dir);
     let client = Client::new(addr.clone());
     let (id, clean) = run_to_done(&addr, &client);
     client.shutdown().expect("shutdown");
@@ -183,7 +186,7 @@ fn main() {
         "the zombie session was quarantined"
     );
     // A scrubbed directory restarts: the daemon binds and serves results.
-    let (addr2, handle2) = start_daemon(&dir);
+    let (_, addr2, handle2) = start_daemon(&dir);
     let client2 = Client::new(addr2);
     let after_restart = client2.results(&id).expect("results after restart").len();
     client2.shutdown().expect("shutdown");
@@ -192,9 +195,9 @@ fn main() {
 
     // ---- Claim 2: a retrying client completes against a faulty daemon.
     let dir = tmpdir("conn");
-    let (addr, handle) = start_daemon(&dir);
+    let (server, addr, handle) = start_daemon(&dir);
     let plan = Arc::new(FaultPlan::new(7, FaultSpec::conn()));
-    fault::install(Arc::clone(&plan));
+    server.set_fault_plan(Some(Arc::clone(&plan)));
     let client = Client::with_config(
         addr.as_str(),
         ClientConfig {
@@ -208,7 +211,7 @@ fn main() {
     let (_, faulty) = run_to_done(&addr, &client);
     let faulty_sec = faulty_start.elapsed().as_secs_f64();
     let stats = plan.stats();
-    fault::clear();
+    server.set_fault_plan(None);
     client.shutdown().expect("shutdown");
     handle.join().unwrap().expect("daemon exit");
     let _ = std::fs::remove_dir_all(&dir);

@@ -19,17 +19,16 @@
 //!
 //! ## The zero-cost-when-off hook
 //!
-//! Production code consults the plane through [`disk_fault`] /
-//! [`net_fault`]. When no plan is installed these cost one relaxed
-//! atomic load of a static `bool` and return `None` — no lock, no
-//! allocation, no branch into the injection path — so release daemons
-//! pay nothing for carrying the hooks. Installing a plan
-//! ([`install`]) flips the static; clearing it ([`clear`]) restores the
-//! fast path. The hook is process-global, so test suites that install
-//! plans must serialize around it.
+//! Production code consults the plane through a [`FaultHook`] owned by
+//! the code that does the I/O: each serve `Corpus` carries one, and its
+//! daemon's connection handler reads the same one. A disarmed hook costs
+//! one relaxed atomic load and returns `None` — no lock, no allocation,
+//! no branch into the injection path — so release daemons pay nothing
+//! for carrying it. Arming one owner never affects another, so tests
+//! that inject faults run in parallel with tests that do not.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Per-mille (0–1000) probabilities for each fault kind. A value of 0
 /// disables the kind; 1000 injects on every eligible operation. Disk
@@ -175,13 +174,7 @@ pub struct FaultPlan {
     seed: u64,
     spec: FaultSpec,
     ops: AtomicU64,
-    torn_writes: AtomicU64,
-    enospc: AtomicU64,
-    lost_syncs: AtomicU64,
-    bit_flips: AtomicU64,
-    conn_drops: AtomicU64,
-    stalled_reads: AtomicU64,
-    half_closes: AtomicU64,
+    injected: Mutex<FaultStats>,
 }
 
 const SITE_DISK: u64 = 0x6469_736b; // "disk"
@@ -193,13 +186,7 @@ impl FaultPlan {
             seed,
             spec,
             ops: AtomicU64::new(0),
-            torn_writes: AtomicU64::new(0),
-            enospc: AtomicU64::new(0),
-            lost_syncs: AtomicU64::new(0),
-            bit_flips: AtomicU64::new(0),
-            conn_drops: AtomicU64::new(0),
-            stalled_reads: AtomicU64::new(0),
-            half_closes: AtomicU64::new(0),
+            injected: Mutex::new(FaultStats::default()),
         }
     }
 
@@ -233,18 +220,18 @@ impl FaultPlan {
         // the fault's own parameter (tear point / bit index).
         let param = splitmix64(r);
         if pick < s.torn_write {
-            self.torn_writes.fetch_add(1, Ordering::Relaxed);
+            self.injected.lock().unwrap().torn_writes += 1;
             Some(DiskFault::Torn {
                 keep_permille: (param % 999) as u32 + 1,
             })
         } else if pick < s.torn_write + s.enospc {
-            self.enospc.fetch_add(1, Ordering::Relaxed);
+            self.injected.lock().unwrap().enospc += 1;
             Some(DiskFault::Enospc)
         } else if pick < s.torn_write + s.enospc + s.lost_sync {
-            self.lost_syncs.fetch_add(1, Ordering::Relaxed);
+            self.injected.lock().unwrap().lost_syncs += 1;
             Some(DiskFault::LostSync)
         } else {
-            self.bit_flips.fetch_add(1, Ordering::Relaxed);
+            self.injected.lock().unwrap().bit_flips += 1;
             Some(DiskFault::BitFlip { bit_seed: param })
         }
     }
@@ -263,30 +250,22 @@ impl FaultPlan {
         }
         let param = splitmix64(r);
         if pick < s.conn_drop {
-            self.conn_drops.fetch_add(1, Ordering::Relaxed);
+            self.injected.lock().unwrap().conn_drops += 1;
             Some(NetFault::DropMidFrame {
                 keep_permille: (param % 999) as u32 + 1,
             })
         } else if pick < s.conn_drop + s.stall_read {
-            self.stalled_reads.fetch_add(1, Ordering::Relaxed);
+            self.injected.lock().unwrap().stalled_reads += 1;
             Some(NetFault::StallRead { ms: s.stall_ms })
         } else {
-            self.half_closes.fetch_add(1, Ordering::Relaxed);
+            self.injected.lock().unwrap().half_closes += 1;
             Some(NetFault::HalfClose)
         }
     }
 
     /// Injection counters so far.
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            torn_writes: self.torn_writes.load(Ordering::Relaxed),
-            enospc: self.enospc.load(Ordering::Relaxed),
-            lost_syncs: self.lost_syncs.load(Ordering::Relaxed),
-            bit_flips: self.bit_flips.load(Ordering::Relaxed),
-            conn_drops: self.conn_drops.load(Ordering::Relaxed),
-            stalled_reads: self.stalled_reads.load(Ordering::Relaxed),
-            half_closes: self.half_closes.load(Ordering::Relaxed),
-        }
+        *self.injected.lock().unwrap()
     }
 }
 
@@ -300,54 +279,31 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn plan_slot() -> &'static Mutex<Option<Arc<FaultPlan>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<FaultPlan>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
+/// The fault plan one owner (a corpus, and through it its daemon)
+/// consults. Disarmed — the default — [`FaultHook::plan`] is one relaxed
+/// atomic load.
+#[derive(Debug, Default)]
+pub struct FaultHook {
+    armed: AtomicBool,
+    plan: Mutex<Option<Arc<FaultPlan>>>,
 }
 
-/// Installs a plan as the process-global fault plane. Replaces any
-/// previous plan.
-pub fn install(plan: Arc<FaultPlan>) {
-    *plan_slot().lock().unwrap() = Some(plan);
-    ACTIVE.store(true, Ordering::Release);
-}
-
-/// Removes the installed plan, restoring the zero-cost fast path.
-pub fn clear() {
-    ACTIVE.store(false, Ordering::Release);
-    *plan_slot().lock().unwrap() = None;
-}
-
-/// The currently installed plan, if any (for stats reporting).
-pub fn installed() -> Option<Arc<FaultPlan>> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
+impl FaultHook {
+    /// Arms `plan`, replacing any previous one; `None` disarms.
+    pub fn set(&self, plan: Option<Arc<FaultPlan>>) {
+        let mut slot = self.plan.lock().unwrap();
+        self.armed.store(plan.is_some(), Ordering::Release);
+        *slot = plan;
     }
-    plan_slot().lock().unwrap().clone()
-}
 
-/// Hook for corpus file writes. One relaxed atomic load when no plan is
-/// installed.
-#[inline]
-pub fn disk_fault() -> Option<DiskFault> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
+    /// The armed plan, if any.
+    #[inline]
+    pub fn plan(&self) -> Option<Arc<FaultPlan>> {
+        if !self.armed.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.plan.lock().unwrap().clone()
     }
-    let plan = plan_slot().lock().unwrap().clone()?;
-    plan.disk_fault()
-}
-
-/// Hook for serve connection I/O. One relaxed atomic load when no plan
-/// is installed.
-#[inline]
-pub fn net_fault() -> Option<NetFault> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
-    }
-    let plan = plan_slot().lock().unwrap().clone()?;
-    plan.net_fault()
 }
 
 #[cfg(test)]
@@ -401,20 +357,19 @@ mod tests {
     }
 
     #[test]
-    fn global_hook_is_none_when_cleared() {
-        clear();
-        assert_eq!(disk_fault(), None);
-        assert_eq!(net_fault(), None);
-        install(Arc::new(FaultPlan::new(
-            3,
-            FaultSpec {
-                enospc: 1000,
-                ..Default::default()
-            },
-        )));
-        assert_eq!(disk_fault(), Some(DiskFault::Enospc));
-        clear();
-        assert_eq!(disk_fault(), None);
+    fn hook_yields_no_fault_when_cleared() {
+        let disk = |h: &FaultHook| h.plan().and_then(|p| p.disk_fault());
+        let net = |h: &FaultHook| h.plan().and_then(|p| p.net_fault());
+        let hook = FaultHook::default();
+        assert_eq!((disk(&hook), net(&hook)), (None, None));
+        let spec = FaultSpec {
+            enospc: 1000,
+            ..Default::default()
+        };
+        hook.set(Some(Arc::new(FaultPlan::new(3, spec))));
+        assert_eq!(disk(&hook), Some(DiskFault::Enospc));
+        hook.set(None);
+        assert_eq!((disk(&hook), net(&hook)), (None, None));
     }
 
     #[test]

@@ -45,8 +45,9 @@
 //!
 //! Every file write funnels through two primitives — `append_with_faults`
 //! (append-only streams) and `write_atomic` (whole-file replaces) — and
-//! both consult the [`chef_core::fault`] plane, so torn writes, `ENOSPC`,
-//! lost fsyncs, and bit flips can be injected deterministically in tests.
+//! both consult this corpus's own fault plan ([`Corpus::set_fault_plan`]),
+//! so torn writes, `ENOSPC`, lost fsyncs, and bit flips can be injected
+//! deterministically into one daemon's files.
 //! [`Corpus::scrub`] is the matching recovery pass, run at daemon startup
 //! before any session resumes: it removes stray `.tmp` files, re-walks
 //! every frame stream (CRC-validating since wire v3) and *resyncs* past
@@ -64,7 +65,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use chef_core::fault::DiskFault;
+use chef_core::fault::{DiskFault, FaultHook, FaultPlan};
 use chef_core::wire::{Wire, MAGIC};
 use chef_core::{SchedStats, Snapshot, TestCase, WorkSeed};
 
@@ -87,6 +88,8 @@ pub struct Corpus {
     max_target_bytes: Option<u64>,
     /// Tests refused at append time because their target was at budget.
     budget_rejected: AtomicU64,
+    /// The fault plan this corpus's writes and its daemon's connections read.
+    pub(crate) faults: FaultHook,
 }
 
 impl Corpus {
@@ -100,7 +103,14 @@ impl Corpus {
             write_lock: std::sync::Mutex::new(()),
             max_target_bytes: None,
             budget_rejected: AtomicU64::new(0),
+            faults: FaultHook::default(),
         })
+    }
+
+    /// Arms (`Some`) or disarms (`None`) deterministic fault injection on
+    /// this corpus's writes. Other corpora in the process are unaffected.
+    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
+        self.faults.set(plan);
     }
 
     /// Caps each target's `tests.bin` at `budget` bytes: appends that
@@ -141,7 +151,7 @@ impl Corpus {
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(1);
-        write_atomic(&path, (n + 1).to_string().as_bytes())?;
+        self.write_atomic(&path, (n + 1).to_string().as_bytes())?;
         Ok(format!("s{n}"))
     }
 
@@ -222,7 +232,7 @@ impl Corpus {
             added += 1;
         }
         if added > 0 {
-            append_with_faults(&path, &buf)?;
+            self.append_with_faults(&path, &buf)?;
         }
         Ok(added)
     }
@@ -292,7 +302,7 @@ impl Corpus {
         for pc in sorted {
             bytes.extend_from_slice(&pc.to_le_bytes());
         }
-        write_atomic(&dir.join("coverage.bin"), &bytes)?;
+        self.write_atomic(&dir.join("coverage.bin"), &bytes)?;
         Ok(all.len())
     }
 
@@ -313,7 +323,7 @@ impl Corpus {
                 }
             }
         }
-        write_atomic(&path, &snapshot.to_frame())
+        self.write_atomic(&path, &snapshot.to_frame())
     }
 
     /// Loads a target's fork-point snapshot. A missing, truncated, or
@@ -333,7 +343,7 @@ impl Corpus {
     pub fn save_spec(&self, session: &str, spec_json: &str) -> io::Result<()> {
         let dir = self.session_dir(session);
         fs::create_dir_all(&dir)?;
-        write_atomic(&dir.join("spec.json"), spec_json.as_bytes())
+        self.write_atomic(&dir.join("spec.json"), spec_json.as_bytes())
     }
 
     /// Loads a session's job spec JSON, if the session exists.
@@ -353,7 +363,7 @@ impl Corpus {
         for seed in frontier {
             bytes.extend_from_slice(&seed.to_frame());
         }
-        write_atomic(&dir.join("checkpoint.bin"), &bytes)
+        self.write_atomic(&dir.join("checkpoint.bin"), &bytes)
     }
 
     /// Loads a session's checkpointed frontier. `None` means the session
@@ -373,7 +383,7 @@ impl Corpus {
     pub fn save_state(&self, session: &str, state: &str) -> io::Result<()> {
         let dir = self.session_dir(session);
         fs::create_dir_all(&dir)?;
-        write_atomic(&dir.join("state"), state.as_bytes())
+        self.write_atomic(&dir.join("state"), state.as_bytes())
     }
 
     /// Reads a session's recorded lifecycle state.
@@ -390,7 +400,7 @@ impl Corpus {
     pub fn save_sched(&self, session: &str, stats: &SchedStats) -> io::Result<()> {
         let dir = self.session_dir(session);
         fs::create_dir_all(&dir)?;
-        write_atomic(&dir.join("sched.bin"), &stats.to_frame())
+        self.write_atomic(&dir.join("sched.bin"), &stats.to_frame())
     }
 
     /// Loads a session's persisted scheduling counters. Missing or corrupt
@@ -411,7 +421,7 @@ impl Corpus {
     pub fn save_trace(&self, session: &str, stats: &chef_trace::TraceStats) -> io::Result<()> {
         let dir = self.session_dir(session);
         fs::create_dir_all(&dir)?;
-        write_atomic(&dir.join("trace.bin"), &stats.to_frame())
+        self.write_atomic(&dir.join("trace.bin"), &stats.to_frame())
     }
 
     /// Loads a session's persisted trace stats. Missing or corrupt
@@ -432,7 +442,7 @@ impl Corpus {
     pub fn save_ffsites(&self, session: &str, sites: &chef_core::FfSiteTable) -> io::Result<()> {
         let dir = self.session_dir(session);
         fs::create_dir_all(&dir)?;
-        write_atomic(
+        self.write_atomic(
             &dir.join("ffsites.bin"),
             &chef_core::FfTable(sites.clone()).to_frame(),
         )
@@ -482,7 +492,7 @@ impl Corpus {
         }
         let after = out.len() as u64;
         if after != before {
-            write_atomic(&path, &out)?;
+            self.write_atomic(&path, &out)?;
         }
         Ok((before, after))
     }
@@ -527,7 +537,7 @@ impl Corpus {
     pub fn save_token(&self, session: &str, token: &str) -> io::Result<()> {
         let dir = self.session_dir(session);
         fs::create_dir_all(&dir)?;
-        write_atomic(&dir.join("token"), token.as_bytes())
+        self.write_atomic(&dir.join("token"), token.as_bytes())
     }
 
     /// All `(token, session_id)` pairs on disk, for rebuilding the
@@ -552,7 +562,7 @@ impl Corpus {
         let _guard = self.write_lock.lock().unwrap();
         let dir = self.session_dir(session);
         fs::create_dir_all(&dir)?;
-        append_with_faults(&dir.join("poisoned.bin"), &seed.to_frame())
+        self.append_with_faults(&dir.join("poisoned.bin"), &seed.to_frame())
     }
 
     /// Crash-recovery scrub, run at daemon startup before any session
@@ -595,12 +605,12 @@ impl Corpus {
                 continue;
             }
             rep.targets += 1;
-            scrub_frames::<TestCase>(&dir.join("tests.bin"), &mut rep)?;
+            self.scrub_frames::<TestCase>(&dir.join("tests.bin"), &mut rep)?;
             let cov = dir.join("coverage.bin");
             if let Ok(bytes) = fs::read(&cov) {
                 let keep = bytes.len() - bytes.len() % 8;
                 if keep != bytes.len() {
-                    write_atomic(&cov, &bytes[..keep])?;
+                    self.write_atomic(&cov, &bytes[..keep])?;
                     rep.bytes_truncated += (bytes.len() - keep) as u64;
                     rep.frames_repaired += 1;
                 }
@@ -629,7 +639,7 @@ impl Corpus {
                 rep.quarantined += 1;
                 continue;
             }
-            scrub_frames::<WorkSeed>(&dir.join("checkpoint.bin"), &mut rep)?;
+            self.scrub_frames::<WorkSeed>(&dir.join("checkpoint.bin"), &mut rep)?;
             if let Ok(bytes) = fs::read(dir.join("sched.bin")) {
                 if SchedStats::from_frame(&bytes).is_err() {
                     fs::remove_file(dir.join("sched.bin"))?;
@@ -658,6 +668,108 @@ impl Corpus {
         }
         fs::rename(dir, &dest)
     }
+
+    /// Re-walks the frame stream at `path`, dropping corrupt spans and
+    /// resyncing at the next frame magic. Rewrites the file only when
+    /// something was dropped; surviving frames keep their original bytes
+    /// (old-version frames are preserved, not re-encoded).
+    fn scrub_frames<T: Wire>(&self, path: &Path, rep: &mut ScrubReport) -> io::Result<()> {
+        let bytes = match fs::read(path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        let (kept, repairs, dropped) = repair_stream::<T>(&bytes);
+        if repairs > 0 {
+            self.write_atomic(path, &kept)?;
+            rep.frames_repaired += repairs;
+            rep.bytes_truncated += dropped;
+        }
+        Ok(())
+    }
+
+    /// Appends `bytes` to the stream at `path`, honoring any fault this
+    /// corpus's plan injects:
+    ///
+    /// - `Enospc` fails up front, leaving the file untouched;
+    /// - `Torn` lands only a prefix and then errors — the torn tail stays on
+    ///   disk exactly as a real crash would leave it (readers drop it; the
+    ///   next append trims it);
+    /// - `LostSync` lands the bytes but skips the fsync;
+    /// - `BitFlip` lands and syncs the bytes, then flips one bit of the file
+    ///   in place and *reports success* — silent media corruption, detectable
+    ///   only by the wire CRCs.
+    fn append_with_faults(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let fault = self.faults.plan().and_then(|p| p.disk_fault());
+        if fault == Some(DiskFault::Enospc) {
+            return Err(enospc());
+        }
+        let keep = match fault {
+            Some(DiskFault::Torn { keep_permille }) => {
+                (bytes.len() * keep_permille as usize / 1000).min(bytes.len().saturating_sub(1))
+            }
+            _ => bytes.len(),
+        };
+        let mut f = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        f.write_all(&bytes[..keep])?;
+        match fault {
+            Some(DiskFault::Torn { .. }) => {
+                let _ = f.sync_all();
+                Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "injected fault: torn write",
+                ))
+            }
+            Some(DiskFault::LostSync) => Ok(()),
+            Some(DiskFault::BitFlip { bit_seed }) => {
+                f.sync_all()?;
+                drop(f);
+                flip_bit(path, bit_seed)
+            }
+            _ => f.sync_all(),
+        }
+    }
+
+    /// Writes via a temp file + rename, so readers never observe a partial
+    /// write even if the daemon dies mid-flight. Under this corpus's plan:
+    /// `Enospc` and `Torn` fail before the rename (the destination keeps its
+    /// previous contents — atomicity is exactly what the temp file buys), a
+    /// `BitFlip` corrupts the renamed file in place, and `LostSync` skips the
+    /// pre-rename fsync.
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let fault = self.faults.plan().and_then(|p| p.disk_fault());
+        if fault == Some(DiskFault::Enospc) {
+            return Err(enospc());
+        }
+        let tmp = path.with_extension("tmp");
+        {
+            let mut f = fs::File::create(&tmp)?;
+            if let Some(DiskFault::Torn { keep_permille }) = fault {
+                let keep = (bytes.len() * keep_permille as usize / 1000)
+                    .min(bytes.len().saturating_sub(1));
+                f.write_all(&bytes[..keep])?;
+                let _ = f.sync_all();
+                // The torn temp file stays behind (scrub sweeps it up); the
+                // destination was never touched.
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "injected fault: torn write",
+                ));
+            }
+            f.write_all(bytes)?;
+            if fault != Some(DiskFault::LostSync) {
+                f.sync_all()?;
+            }
+        }
+        fs::rename(&tmp, path)?;
+        if let Some(DiskFault::BitFlip { bit_seed }) = fault {
+            flip_bit(path, bit_seed)?;
+        }
+        Ok(())
+    }
 }
 
 /// What [`Corpus::scrub`] found and fixed. Zero everywhere on a clean
@@ -682,25 +794,6 @@ pub struct ScrubReport {
     pub tmp_cleaned: u64,
     /// Wall-clock duration of the pass, in milliseconds.
     pub scrub_ms: u64,
-}
-
-/// Re-walks the frame stream at `path`, dropping corrupt spans and
-/// resyncing at the next frame magic. Rewrites the file only when
-/// something was dropped; surviving frames keep their original bytes
-/// (old-version frames are preserved, not re-encoded).
-fn scrub_frames<T: Wire>(path: &Path, rep: &mut ScrubReport) -> io::Result<()> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let (kept, repairs, dropped) = repair_stream::<T>(&bytes);
-    if repairs > 0 {
-        write_atomic(path, &kept)?;
-        rep.frames_repaired += repairs;
-        rep.bytes_truncated += dropped;
-    }
-    Ok(())
 }
 
 /// Splits a frame stream into the bytes of its decodable frames plus
@@ -774,89 +867,6 @@ fn safe_component(s: &str) -> String {
         .collect()
 }
 
-/// Appends `bytes` to the stream at `path`, honoring any injected fault
-/// from the [`chef_core::fault`] plane:
-///
-/// - `Enospc` fails up front, leaving the file untouched;
-/// - `Torn` lands only a prefix and then errors — the torn tail stays on
-///   disk exactly as a real crash would leave it (readers drop it; the
-///   next append trims it);
-/// - `LostSync` lands the bytes but skips the fsync;
-/// - `BitFlip` lands and syncs the bytes, then flips one bit of the file
-///   in place and *reports success* — silent media corruption, detectable
-///   only by the wire CRCs.
-fn append_with_faults(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let fault = chef_core::fault::disk_fault();
-    if fault == Some(DiskFault::Enospc) {
-        return Err(enospc());
-    }
-    let keep = match fault {
-        Some(DiskFault::Torn { keep_permille }) => {
-            (bytes.len() * keep_permille as usize / 1000).min(bytes.len().saturating_sub(1))
-        }
-        _ => bytes.len(),
-    };
-    let mut f = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(&bytes[..keep])?;
-    match fault {
-        Some(DiskFault::Torn { .. }) => {
-            let _ = f.sync_all();
-            Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "injected fault: torn write",
-            ))
-        }
-        Some(DiskFault::LostSync) => Ok(()),
-        Some(DiskFault::BitFlip { bit_seed }) => {
-            f.sync_all()?;
-            drop(f);
-            flip_bit(path, bit_seed)
-        }
-        _ => f.sync_all(),
-    }
-}
-
-/// Writes via a temp file + rename, so readers never observe a partial
-/// write even if the daemon dies mid-flight. Under the fault plane:
-/// `Enospc` and `Torn` fail before the rename (the destination keeps its
-/// previous contents — atomicity is exactly what the temp file buys), a
-/// `BitFlip` corrupts the renamed file in place, and `LostSync` skips the
-/// pre-rename fsync.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let fault = chef_core::fault::disk_fault();
-    if fault == Some(DiskFault::Enospc) {
-        return Err(enospc());
-    }
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        if let Some(DiskFault::Torn { keep_permille }) = fault {
-            let keep =
-                (bytes.len() * keep_permille as usize / 1000).min(bytes.len().saturating_sub(1));
-            f.write_all(&bytes[..keep])?;
-            let _ = f.sync_all();
-            // The torn temp file stays behind (scrub sweeps it up); the
-            // destination was never touched.
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "injected fault: torn write",
-            ));
-        }
-        f.write_all(bytes)?;
-        if fault != Some(DiskFault::LostSync) {
-            f.sync_all()?;
-        }
-    }
-    fs::rename(&tmp, path)?;
-    if let Some(DiskFault::BitFlip { bit_seed }) = fault {
-        flip_bit(path, bit_seed)?;
-    }
-    Ok(())
-}
-
 /// The error `append_with_faults`/`write_atomic` raise for an injected
 /// out-of-space condition.
 fn enospc() -> io::Error {
@@ -877,6 +887,7 @@ fn flip_bit(path: &Path, bit_seed: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chef_core::fault::FaultSpec;
     use chef_core::wire::FRAME_HEADER;
     use std::collections::HashMap;
 
@@ -1171,19 +1182,17 @@ mod tests {
 
     #[test]
     fn injected_torn_write_leaves_recoverable_stream() {
-        use chef_core::fault::{FaultPlan, FaultSpec};
-        let _serial = crate::test_fault_lock().lock().unwrap();
         let corpus = Corpus::open(tmpdir("faultt")).unwrap();
         corpus.append_tests("k", &[tc(0, 1)]).unwrap();
-        chef_core::fault::install(std::sync::Arc::new(FaultPlan::new(
+        corpus.set_fault_plan(Some(Arc::new(FaultPlan::new(
             1,
             FaultSpec {
                 torn_write: 1000,
                 ..Default::default()
             },
-        )));
+        ))));
         let err = corpus.append_tests("k", &[tc(1, 2)]).unwrap_err();
-        chef_core::fault::clear();
+        corpus.set_fault_plan(None);
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         // The stored prefix still loads, and retrying lands the test.
         assert_eq!(corpus.load_tests("k").unwrap().len(), 1);
@@ -1194,22 +1203,20 @@ mod tests {
 
     #[test]
     fn injected_enospc_keeps_destination_intact_for_atomic_writes() {
-        use chef_core::fault::{FaultPlan, FaultSpec};
-        let _serial = crate::test_fault_lock().lock().unwrap();
         let corpus = Corpus::open(tmpdir("faulte")).unwrap();
         let frontier = vec![WorkSeed::from_choices(vec![1])];
         corpus.save_checkpoint("s1", &frontier).unwrap();
-        chef_core::fault::install(std::sync::Arc::new(FaultPlan::new(
+        corpus.set_fault_plan(Some(Arc::new(FaultPlan::new(
             2,
             FaultSpec {
                 enospc: 1000,
                 ..Default::default()
             },
-        )));
+        ))));
         let err = corpus
             .save_checkpoint("s1", &[WorkSeed::root()])
             .unwrap_err();
-        chef_core::fault::clear();
+        corpus.set_fault_plan(None);
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert_eq!(
             corpus.load_checkpoint("s1").unwrap(),
@@ -1221,20 +1228,18 @@ mod tests {
 
     #[test]
     fn injected_bit_flip_is_caught_by_frame_crcs() {
-        use chef_core::fault::{FaultPlan, FaultSpec};
-        let _serial = crate::test_fault_lock().lock().unwrap();
         let corpus = Corpus::open(tmpdir("faultb")).unwrap();
         corpus.append_tests("k", &[tc(0, 1), tc(1, 2)]).unwrap();
-        chef_core::fault::install(std::sync::Arc::new(FaultPlan::new(
+        corpus.set_fault_plan(Some(Arc::new(FaultPlan::new(
             3,
             FaultSpec {
                 bit_flip: 1000,
                 ..Default::default()
             },
-        )));
+        ))));
         // The flip reports success — silent corruption.
         corpus.append_tests("k", &[tc(2, 3)]).unwrap();
-        chef_core::fault::clear();
+        corpus.set_fault_plan(None);
         let loaded = corpus.load_tests("k").unwrap().len();
         assert!(loaded < 3, "some frame must have been corrupted");
         let rep = corpus.scrub().unwrap();

@@ -83,6 +83,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use chef_core::fault::{FaultPlan, NetFault};
 use chef_core::wire::Wire;
 use chef_core::{replay_cfg_edges, ChefConfig, SchedStats, Snapshot, WorkSeed};
 use chef_fleet::{run_fleet_slice, FleetConfig, FleetControl};
@@ -607,10 +608,17 @@ impl Server {
         self.listener.local_addr()
     }
 
+    /// Arms (`Some`) or disarms (`None`) fault injection on this daemon's
+    /// corpus writes and connections only. The startup scrub has already
+    /// run clean; arming also works while [`Server::run`] runs elsewhere.
+    pub fn set_fault_plan(&self, plan: Option<Arc<FaultPlan>>) {
+        self.inner.corpus.set_fault_plan(plan);
+    }
+
     /// Runs the worker pool and the accept loop until a `shutdown` request
     /// arrives. On shutdown, every session is asked to pause and the pool
     /// is drained, so every session ends checkpointed.
-    pub fn run(self) -> io::Result<()> {
+    pub fn run(&self) -> io::Result<()> {
         self.inner.sched.start(&self.inner);
         while !self.inner.stop.load(Ordering::SeqCst) {
             match self.listener.accept() {
@@ -695,16 +703,16 @@ fn handle_connection(inner: Arc<Inner>, mut stream: TcpStream) {
     let _guard = ConnGuard(Arc::clone(&inner));
     stream.set_nodelay(true).ok();
     loop {
-        // Deterministic connection-fault injection (inert unless a
-        // `chef_core::fault` plan is installed): each request rolls at
+        // Deterministic connection-fault injection (inert unless this
+        // daemon's corpus has a fault plan armed): each request rolls at
         // most one fault, exercising the client's retry/idempotency path.
-        let fault = chef_core::fault::net_fault();
-        if let Some(chef_core::fault::NetFault::StallRead { ms }) = fault {
+        let fault = inner.corpus.faults.plan().and_then(|p| p.net_fault());
+        if let Some(NetFault::StallRead { ms }) = fault {
             // The daemon goes quiet mid-exchange; the client's read
             // deadline turns the stall into a retryable timeout.
             std::thread::sleep(Duration::from_millis(ms));
         }
-        if matches!(fault, Some(chef_core::fault::NetFault::HalfClose)) {
+        if matches!(fault, Some(NetFault::HalfClose)) {
             // Accept the request but never answer: the client sees a
             // clean EOF where its reply should be.
             let _ = proto::read_message(&mut stream);
@@ -717,7 +725,7 @@ fn handle_connection(inner: Arc<Inner>, mut stream: TcpStream) {
             Err(_) => return,   // protocol garbage: drop the connection
         };
         let resp = dispatch(&inner, &req);
-        if let Some(chef_core::fault::NetFault::DropMidFrame { keep_permille }) = fault {
+        if let Some(NetFault::DropMidFrame { keep_permille }) = fault {
             // The reply dies partway through its length-prefixed frame.
             let text = resp.to_json();
             let mut frame = (text.len() as u32).to_le_bytes().to_vec();
@@ -851,7 +859,7 @@ fn cmd_stats(inner: &Arc<Inner>) -> Value {
             ),
         ),
     ];
-    if let Some(plan) = chef_core::fault::installed() {
+    if let Some(plan) = inner.corpus.faults.plan() {
         fields.push(("fault_seed", Value::Int(plan.seed() as i64)));
         fields.push(("faults_injected", Value::Int(plan.stats().total() as i64)));
     }
@@ -1426,15 +1434,6 @@ pub(crate) fn poison_head_seed(inner: &Inner, sess: &SessionState) {
         );
         let _ = inner.corpus.save_checkpoint(&sess.id, &frontier);
     }
-}
-
-/// Serializes tests that install a global [`chef_core::fault`] plan: the
-/// hook is process-wide, so concurrent fault tests would trample each
-/// other's plans (and see each other's injected failures).
-#[cfg(test)]
-pub(crate) fn test_fault_lock() -> &'static Mutex<()> {
-    static LOCK: std::sync::OnceLock<Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
 }
 
 #[cfg(test)]

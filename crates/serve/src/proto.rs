@@ -294,9 +294,9 @@ pub struct DaemonStats {
     pub quarantined: u64,
     /// Stray `.tmp` files the scrub swept.
     pub tmp_cleaned: u64,
-    /// Seed of the installed fault plan, when fault injection is active.
+    /// Seed of the fault plan armed on this daemon (not another), if any.
     pub fault_seed: Option<u64>,
-    /// Faults injected so far by the installed plan.
+    /// Faults injected so far by this daemon's armed plan.
     pub faults_injected: u64,
 }
 

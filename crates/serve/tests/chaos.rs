@@ -12,17 +12,18 @@
 //! *detected* (wire v3 CRCs) rather than rolled back, so their guarantee
 //! is weaker — a subset, never an invention — and asserted separately.
 //!
-//! The fault hook is process-global, so these tests serialize on a local
-//! mutex. They live in their own integration binary: other test binaries
-//! run in other processes and never observe an installed plan.
+//! Each test arms only its own corpus or daemon, so the tests run in
+//! parallel with each other and with everything else in the process.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use chef_core::fault::{self, FaultPlan, FaultSpec};
-use chef_core::{Chef, WorkSeed};
+use chef_core::fault::{FaultPlan, FaultSpec};
+use chef_core::{Chef, TestCase, WorkSeed};
 use chef_fleet::{run_fleet_with, FleetConfig};
 use chef_serve::proto::{read_message, write_message};
 use chef_serve::{
@@ -34,14 +35,6 @@ type InputSet = BTreeSet<Vec<(String, Vec<u8>)>>;
 /// Chaos seeds the property tests sweep. Eight seeds is the CI floor; the
 /// schedule each one induces is fixed forever by the splitmix64 plan.
 const CHAOS_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 0xC0FFEE];
-
-/// Serializes tests that install the process-global fault plan.
-fn fault_serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 const TARGET_SRC: &str = r#"
 def parse(msg):
@@ -73,6 +66,24 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+type Daemon = (Arc<Server>, String, JoinHandle<std::io::Result<()>>);
+
+/// Binds an in-process daemon on a loopback port over `dir` and runs it on
+/// its own thread; the returned server arms and disarms its fault plan.
+fn start_daemon(dir: &Path, config: ServeConfig) -> Daemon {
+    let server = Arc::new(
+        Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            data_dir: dir.to_path_buf(),
+            ..config
+        })
+        .unwrap(),
+    );
+    let addr = server.local_addr().unwrap().to_string();
+    let run = Arc::clone(&server);
+    (server, addr, std::thread::spawn(move || run.run()))
+}
+
 fn uninterrupted_set(spec: &JobSpec) -> InputSet {
     let prog = spec.build().unwrap();
     let report = Chef::new(&prog, spec.chef_config()).run();
@@ -102,7 +113,6 @@ fn chaos_run(seed: u64, spec: &JobSpec, faults: FaultSpec, dir: &Path) -> (Input
     let mut lives = 0u64;
     loop {
         // Restart: the faulty "process" is dead; scrub runs clean.
-        fault::clear();
         corpus.scrub().unwrap();
         let mut seeds = match corpus.load_checkpoint("s1").unwrap() {
             None => vec![WorkSeed::root()],
@@ -130,7 +140,7 @@ fn chaos_run(seed: u64, spec: &JobSpec, faults: FaultSpec, dir: &Path) -> (Input
         // Persist under injected faults. Order matters like the daemon's:
         // tests append before the checkpoint advances, so a crash between
         // the two re-executes work instead of losing it.
-        fault::install(Arc::clone(&plan));
+        corpus.set_fault_plan(Some(Arc::clone(&plan)));
         let persisted = (|| -> std::io::Result<()> {
             if stored.is_none() {
                 if let Some(sn) = &outcome.snapshot {
@@ -141,7 +151,7 @@ fn chaos_run(seed: u64, spec: &JobSpec, faults: FaultSpec, dir: &Path) -> (Input
             corpus.save_checkpoint("s1", &outcome.frontier)?;
             Ok(())
         })();
-        fault::clear();
+        corpus.set_fault_plan(None);
         if persisted.is_err() {
             crashes += 1;
         }
@@ -165,7 +175,6 @@ fn chaos_run(seed: u64, spec: &JobSpec, faults: FaultSpec, dir: &Path) -> (Input
 /// *byte-identical in canonical content* to the uninterrupted run.
 #[test]
 fn torn_and_enospc_chaos_recovers_byte_identical_for_every_seed() {
-    let _serial = fault_serial();
     let spec = spec();
     let want = uninterrupted_set(&spec);
     assert!(want.len() >= 4, "target has real breadth");
@@ -194,7 +203,6 @@ fn torn_and_enospc_chaos_recovers_byte_identical_for_every_seed() {
         total_faults > 0 && total_crashes > 0,
         "the schedule injected real faults ({total_faults}) and crashes ({total_crashes})"
     );
-    assert!(fault::installed().is_none(), "driver cleans up the hook");
 }
 
 /// Bit flips are silent media corruption: the write *reports success* and
@@ -203,7 +211,6 @@ fn torn_and_enospc_chaos_recovers_byte_identical_for_every_seed() {
 /// of the uninterrupted set, and never contains an invented test.
 #[test]
 fn bit_flip_corruption_is_detected_never_invented() {
-    let _serial = fault_serial();
     let spec = spec();
     let want = uninterrupted_set(&spec);
 
@@ -231,26 +238,20 @@ fn bit_flip_corruption_is_detected_never_invented() {
 /// token keeps retried submits from double-admitting.
 #[test]
 fn daemon_survives_connection_faults_with_retrying_client() {
-    let _serial = fault_serial();
     let spec = spec();
     let want = uninterrupted_set(&spec);
     let dir = tmpdir("conn");
 
-    let server = Server::bind(ServeConfig {
-        ff_mode: Default::default(),
-        addr: "127.0.0.1:0".into(),
-        data_dir: dir.clone(),
+    let config = ServeConfig {
         checkpoint_interval_ll: 15_000,
         ..Default::default()
-    })
-    .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let handle = std::thread::spawn(move || server.run());
+    };
+    let (server, addr, handle) = start_daemon(&dir, config);
 
     // Faults go in only after a clean bind (a real deployment restarts the
     // daemon without its fault flags; scrub must not race injection).
     let plan = Arc::new(FaultPlan::new(7, FaultSpec::conn()));
-    fault::install(Arc::clone(&plan));
+    server.set_fault_plan(Some(Arc::clone(&plan)));
 
     let client = Client::with_config(
         addr.as_str(),
@@ -283,7 +284,7 @@ fn daemon_survives_connection_faults_with_retrying_client() {
         "the connection fault plan actually fired"
     );
 
-    fault::clear();
+    server.set_fault_plan(None);
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
@@ -295,36 +296,28 @@ fn daemon_survives_connection_faults_with_retrying_client() {
 /// uninterrupted test set.
 #[test]
 fn enospc_pauses_session_then_resume_completes() {
-    let _serial = fault_serial();
     let spec = spec();
     let want = uninterrupted_set(&spec);
     let dir = tmpdir("enospc");
 
-    let server = Server::bind(ServeConfig {
-        ff_mode: Default::default(),
-        addr: "127.0.0.1:0".into(),
-        data_dir: dir.clone(),
+    let config = ServeConfig {
         checkpoint_interval_ll: 8_000,
         ..Default::default()
-    })
-    .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let handle = std::thread::spawn(move || server.run());
+    };
+    let (server, addr, handle) = start_daemon(&dir, config);
     let client = Client::new(addr.as_str());
 
     let session = client.submit(&spec).unwrap();
     // Now the disk fills: every write fails until the fault clears.
-    fault::install(Arc::new(FaultPlan::new(
-        11,
-        FaultSpec {
-            enospc: 1000,
-            ..FaultSpec::default()
-        },
-    )));
+    let full = FaultSpec {
+        enospc: 1000,
+        ..FaultSpec::default()
+    };
+    server.set_fault_plan(Some(Arc::new(FaultPlan::new(11, full))));
     let settled = client
         .wait_settled(&session, Duration::from_secs(120))
         .unwrap();
-    fault::clear();
+    server.set_fault_plan(None);
 
     if settled.state == "paused" {
         // The expected path: the slice's write failed and the worker
@@ -364,24 +357,18 @@ fn enospc_pauses_session_then_resume_completes() {
 /// and the session keeps making progress instead of wedging its worker.
 #[test]
 fn watchdog_aborts_overrunning_slices_and_session_survives() {
-    let _serial = fault_serial();
     let spec = spec();
     let dir = tmpdir("watchdog");
 
-    let server = Server::bind(ServeConfig {
-        ff_mode: Default::default(),
-        addr: "127.0.0.1:0".into(),
-        data_dir: dir.clone(),
+    let config = ServeConfig {
         // One enormous slice whose wall-clock dwarfs the 10ms deadline:
         // without the watchdog this runs to completion uninterrupted.
         checkpoint_interval_ll: u64::MAX / 2,
         slice_timeout_ms: 10,
         workers: 1,
         ..Default::default()
-    })
-    .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let handle = std::thread::spawn(move || server.run());
+    };
+    let (_, addr, handle) = start_daemon(&dir, config);
     let client = Client::new(addr.as_str());
 
     let session = client.submit(&spec).unwrap();
@@ -422,7 +409,6 @@ fn watchdog_aborts_overrunning_slices_and_session_survives() {
 /// disk.
 #[test]
 fn submit_token_is_idempotent_across_daemon_restarts() {
-    let _serial = fault_serial();
     let spec = spec();
     let dir = tmpdir("token");
 
@@ -443,15 +429,7 @@ fn submit_token_is_idempotent_across_daemon_restarts() {
         )
     };
 
-    let server = Server::bind(ServeConfig {
-        ff_mode: Default::default(),
-        addr: "127.0.0.1:0".into(),
-        data_dir: dir.clone(),
-        ..Default::default()
-    })
-    .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let handle = std::thread::spawn(move || server.run());
+    let (_, addr, handle) = start_daemon(&dir, ServeConfig::default());
 
     let (first, re1) = submit_raw(&addr, "tok-chaos-1");
     assert!(!re1, "first submit admits fresh");
@@ -467,19 +445,69 @@ fn submit_token_is_idempotent_across_daemon_restarts() {
     handle.join().unwrap().unwrap();
 
     // Restart on the same data dir: the token map reloads from disk.
-    let server = Server::bind(ServeConfig {
-        ff_mode: Default::default(),
-        addr: "127.0.0.1:0".into(),
-        data_dir: dir.clone(),
-        ..Default::default()
-    })
-    .unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    let handle = std::thread::spawn(move || server.run());
+    let (_, addr, handle) = start_daemon(&dir, ServeConfig::default());
     let (third, re3) = submit_raw(&addr, "tok-chaos-1");
     assert!(re3, "token survives the restart");
     assert_eq!(third, first, "and still names the original session");
     Client::new(addr.as_str()).shutdown().unwrap();
     handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Fault plans belong to the corpus or daemon they are armed on: an armed
+/// neighbour in the same process injects nothing into an unarmed one.
+#[test]
+fn fault_plans_stay_with_the_corpus_and_daemon_that_arm_them() {
+    let prog = spec().build().unwrap();
+    let base = Chef::new(&prog, spec().chef_config()).run().tests.remove(0);
+    let test = |i: u16| TestCase {
+        inputs: HashMap::from([("msg".into(), i.to_le_bytes().to_vec())]),
+        ..base.clone()
+    };
+    let dirs = ["own-a", "own-b", "own-plain", "own-armed"].map(tmpdir);
+    let torn = FaultSpec {
+        torn_write: 1000,
+        ..FaultSpec::default()
+    };
+    let plan = Arc::new(FaultPlan::new(1, torn));
+    let armed = Corpus::open(&dirs[0]).unwrap();
+    let clean = Corpus::open(&dirs[1]).unwrap();
+    armed.set_fault_plan(Some(Arc::clone(&plan)));
+    let done = AtomicBool::new(false);
+    let errors = std::thread::scope(|s| {
+        s.spawn(|| loop {
+            assert!(armed.append_tests("k", &[test(0)]).is_err());
+            if done.load(Ordering::Relaxed) {
+                break;
+            }
+        });
+        let errors = (0..500)
+            .filter(|&i| clean.append_tests("k", &[test(i)]).is_err())
+            .count();
+        done.store(true, Ordering::Relaxed);
+        errors
+    });
+    assert_eq!(errors, 0, "the unarmed corpus saw injected faults");
+    assert_eq!(clean.load_tests("k").unwrap().len(), 500);
+    assert!(plan.stats().torn_writes > 0, "the armed corpus was torn");
+
+    let (_, plain_addr, plain_handle) = start_daemon(&dirs[2], ServeConfig::default());
+    let (server, armed_addr, armed_handle) = start_daemon(&dirs[3], ServeConfig::default());
+    server.set_fault_plan(Some(Arc::new(FaultPlan::new(7, FaultSpec::conn()))));
+    let retrying = ClientConfig {
+        io_timeout: Duration::from_secs(2),
+        retries: 10,
+        backoff_ms: 10,
+        ..ClientConfig::default()
+    };
+    let stats = |addr: &str| Client::with_config(addr, retrying.clone()).stats().unwrap();
+    // Each daemon's `stats` reports its own plan, and only its own.
+    assert_eq!(stats(&plain_addr).fault_seed, None);
+    assert_eq!(stats(&armed_addr).fault_seed, Some(7));
+    server.set_fault_plan(None);
+    for (addr, handle) in [(plain_addr, plain_handle), (armed_addr, armed_handle)] {
+        Client::new(addr.as_str()).shutdown().unwrap();
+        handle.join().unwrap().unwrap();
+    }
+    let _ = dirs.map(std::fs::remove_dir_all);
 }

@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use chef::core::fault::{self, FaultPlan, FaultSpec};
+use chef::core::fault::{FaultPlan, FaultSpec};
 use chef::core::{Chef, ChefConfig, StrategyKind, TestCase, TestStatus};
 use chef::fleet::{run_fleet, FleetConfig};
 use chef::minipy::{build_program, CompiledModule, InterpreterOptions};
@@ -653,7 +653,7 @@ fn serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    // Install the fault plan after the bind: startup scrub and recovery
+    // Arm the fault plan after the bind: startup scrub and recovery
     // run clean (a restarting daemon repairs before it re-injects), so a
     // faulty daemon killed and restarted with the same flags converges.
     let server = match Server::bind(config.clone()) {
@@ -665,7 +665,7 @@ fn serve(args: &[String]) -> ExitCode {
     };
     if let Some(profile) = &fault_profile {
         let spec = FaultSpec::profile(profile).expect("profile validated above");
-        fault::install(std::sync::Arc::new(FaultPlan::new(fault_seed, spec)));
+        server.set_fault_plan(Some(std::sync::Arc::new(FaultPlan::new(fault_seed, spec))));
         println!("fault injection active: profile={profile} seed={fault_seed}");
     }
     match server.local_addr() {
